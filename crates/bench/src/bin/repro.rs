@@ -35,6 +35,11 @@
 //! `serve.*`, `shard.*`) as JSON to stdout, or to a file when a path is
 //! given.
 //!
+//! The command line fails closed: an unknown section or flag, a flag
+//! missing its value, or a `--threads`/`--workers`/`--shards`/`--replicas`
+//! value that does not parse or is 0 prints a usage message to stderr and
+//! exits with status 2.
+//!
 //! `-` as the `--json` or `--metrics` path means stdout. Whenever stdout
 //! carries JSON, all human-readable output routes to stderr, so
 //! `repro all --json - | jq .` is valid; with both on stdout the metrics
@@ -305,7 +310,7 @@ fn serve_concurrent_bench(
         cfg.cache_capacity = capacity;
     }
     let worker_counts: Vec<usize> = match workers {
-        Some(n) => vec![n.max(1)],
+        Some(n) => vec![n],
         None => vec![1, 2, 4],
     };
     let rows: Vec<_> = worker_counts
@@ -343,7 +348,7 @@ fn serve_sharded_bench(
     registry: &Arc<Registry>,
 ) -> Vec<simvid_bench::ServeShardedRow> {
     let cfg = sharded_smoke_config(smoke);
-    let workers = workers.unwrap_or(2).max(1);
+    let workers = workers.unwrap_or(2);
     let rows: Vec<_> = shard_counts
         .iter()
         .map(|&s| measure_serve_sharded(&cfg, s, workers, registry))
@@ -375,7 +380,7 @@ fn serve_replicated_bench(
 ) -> Vec<simvid_bench::ServeReplicatedRow> {
     let cfg = sharded_smoke_config(smoke);
     let shards = replicated_shards(shard_counts);
-    let workers = workers.unwrap_or(2).max(1);
+    let workers = workers.unwrap_or(2);
     let rows: Vec<_> = replica_counts
         .iter()
         .map(|&r| measure_serve_replicated(&cfg, shards, r, workers, registry))
@@ -457,9 +462,9 @@ fn serve_churn_bench(
     } else {
         ChurnConfig::default()
     };
-    let workers = workers.unwrap_or(2).max(1);
-    let shards = shard_counts.first().copied().unwrap_or(2).max(1);
-    let replicas = replica_counts.first().copied().unwrap_or(1).max(1);
+    let workers = workers.unwrap_or(2);
+    let shards = shard_counts.first().copied().unwrap_or(2);
+    let replicas = replica_counts.first().copied().unwrap_or(1);
     let rows = vec![measure_serve_churn(
         &ChurnConfig {
             shards,
@@ -575,6 +580,47 @@ const SECTIONS: &[&str] = &[
     "all",
 ];
 
+/// Reports a bad invocation on stderr and exits 2: an unknown section,
+/// an unknown flag or a malformed value must never run silently.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("repro: {msg}");
+    eprintln!(
+        "usage: repro [SECTION]... [--json PATH] [--metrics [PATH]] [--threads N] \
+         [--smoke] [--cache-capacity N] [--workers N] [--shards N,M,...] \
+         [--replicas N,M,...] [--churn]\nsections: {}",
+        SECTIONS.join(" ")
+    );
+    std::process::exit(2);
+}
+
+/// The value following `flag`.
+fn flag_value<'a>(args: &'a [String], i: usize, flag: &str) -> &'a str {
+    args.get(i + 1).map_or_else(
+        || usage_error(&format!("{flag} needs a value")),
+        String::as_str,
+    )
+}
+
+/// A count that must parse and be positive.
+fn positive(flag: &str, v: &str) -> usize {
+    match v.trim().parse::<usize>() {
+        Ok(n) if n > 0 => n,
+        _ => usage_error(&format!("{flag} takes a positive integer, got `{v}`")),
+    }
+}
+
+/// A comma-separated list of positive counts; every entry must parse.
+fn positive_list(flag: &str, v: &str) -> Vec<u32> {
+    v.split(',')
+        .map(|s| match s.trim().parse::<u32>() {
+            Ok(n) if n > 0 => n,
+            _ => usage_error(&format!(
+                "{flag} takes comma-separated positive integers, got `{v}`"
+            )),
+        })
+        .collect()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut sections: Vec<String> = Vec::new();
@@ -589,39 +635,33 @@ fn main() {
     let mut churn = false;
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        let flag = args[i].as_str();
+        match flag {
             "--json" => {
-                json_path = args.get(i + 1).cloned();
+                json_path = Some(flag_value(&args, i, flag).to_owned());
                 i += 2;
             }
             "--threads" => {
-                threads = args.get(i + 1).and_then(|v| v.parse().ok());
+                threads = Some(positive(flag, flag_value(&args, i, flag)));
                 i += 2;
             }
             "--cache-capacity" => {
-                cache_capacity = args.get(i + 1).and_then(|v| v.parse().ok());
+                let v = flag_value(&args, i, flag);
+                cache_capacity = Some(v.trim().parse().unwrap_or_else(|_| {
+                    usage_error(&format!("{flag} takes an integer, got `{v}`"))
+                }));
                 i += 2;
             }
             "--workers" => {
-                workers = args.get(i + 1).and_then(|v| v.parse().ok());
+                workers = Some(positive(flag, flag_value(&args, i, flag)));
                 i += 2;
             }
             "--shards" => {
-                shards = args.get(i + 1).map(|v| {
-                    v.split(',')
-                        .filter_map(|s| s.trim().parse::<u32>().ok())
-                        .filter(|&s| s > 0)
-                        .collect()
-                });
+                shards = Some(positive_list(flag, flag_value(&args, i, flag)));
                 i += 2;
             }
             "--replicas" => {
-                replicas = args.get(i + 1).map(|v| {
-                    v.split(',')
-                        .filter_map(|s| s.trim().parse::<u32>().ok())
-                        .filter(|&s| s > 0)
-                        .collect()
-                });
+                replicas = Some(positive_list(flag, flag_value(&args, i, flag)));
                 i += 2;
             }
             "--smoke" => {
@@ -645,11 +685,12 @@ fn main() {
                     i += 1;
                 }
             },
-            s if !s.starts_with("--") => {
+            s if s.starts_with("--") => usage_error(&format!("unknown flag `{s}`")),
+            s if SECTIONS.contains(&s) => {
                 sections.push(s.to_string());
                 i += 1;
             }
-            _ => i += 1,
+            s => usage_error(&format!("unknown section `{s}`")),
         }
     }
     if sections.is_empty() {
@@ -731,11 +772,6 @@ fn main() {
     // gate's `repro serve --smoke --shards 1,2,4` spelling just works.
     if wants("serve_sharded") || (wants("serve") && shards.is_some()) {
         let counts = shards.clone().unwrap_or_else(|| vec![1, 2, 4]);
-        let counts = if counts.is_empty() {
-            vec![1, 2, 4]
-        } else {
-            counts
-        };
         let rows = serve_sharded_bench(smoke, &counts, workers, &registry);
         json.insert("serve_sharded".into(), serde_json::to_value(&rows).unwrap());
     }
@@ -744,11 +780,6 @@ fn main() {
     if wants("serve_replicated") || (wants("serve") && replicas.is_some()) {
         let shard_counts = shards.clone().unwrap_or_else(|| vec![2]);
         let replica_counts = replicas.clone().unwrap_or_else(|| vec![2, 3]);
-        let replica_counts = if replica_counts.is_empty() {
-            vec![2, 3]
-        } else {
-            replica_counts
-        };
         let rows =
             serve_replicated_bench(smoke, &shard_counts, &replica_counts, workers, &registry);
         json.insert(

@@ -36,11 +36,9 @@
 //! never on which videos exist — so the bound a pinned query reports is
 //! sound at its own epoch regardless of batches applied concurrently.
 
-use crate::shard::{
-    normalize_query, shard_of, ShardId, ShardedAnswer, ShardedDegraded, ShardedTopK,
-};
+use crate::shard::{normalize_query, shard_of, Scatter, ShardId, ShardedAnswer};
 use crate::{CacheConfig, PictureSystem, ScoringConfig};
-use simvid_core::{merge_shard_streams, Engine, EngineConfig, EngineError, ShardHit, ShardStream};
+use simvid_core::{Budget, EngineConfig, EngineError, ShardStream};
 use simvid_htl::Formula;
 use simvid_model::{
     AppliedBatch, CorpusEpoch, CorpusError, CorpusLog, CorpusOp, VideoId, VideoStore, VideoTree,
@@ -152,7 +150,7 @@ struct Inner {
 /// isolation and invalidation model.
 pub struct LiveVideoDb {
     cfg: LiveConfig,
-    registry: Arc<Registry>,
+    scatter: Arc<Scatter>,
     inner: Mutex<Inner>,
     evicted: Arc<simvid_obs::Counter>,
     retained: Arc<simvid_obs::Counter>,
@@ -204,8 +202,8 @@ impl LiveVideoDb {
                 snapshot,
                 next_generation,
             }),
+            scatter: Arc::new(Scatter::new(cfg.shards, cfg.engine, registry)),
             cfg,
-            registry,
             apply_faults: None,
         }
     }
@@ -223,7 +221,7 @@ impl LiveVideoDb {
     /// The metrics registry shared by every provider.
     #[must_use]
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
+        self.scatter.registry()
     }
 
     /// The serving topology and tuning.
@@ -262,8 +260,7 @@ impl LiveVideoDb {
         let inner = self.inner.lock().expect("live store lock");
         LivePin {
             snapshot: Arc::clone(&inner.snapshot),
-            engine_cfg: self.cfg.engine,
-            registry: Arc::clone(&self.registry),
+            scatter: Arc::clone(&self.scatter),
         }
     }
 
@@ -328,7 +325,7 @@ impl LiveVideoDb {
                     next_generation += 1;
                     build_member(
                         &self.cfg,
-                        &self.registry,
+                        self.registry(),
                         video,
                         Arc::new(tree.clone()),
                         epoch,
@@ -393,8 +390,7 @@ fn build_member(
 #[derive(Clone)]
 pub struct LivePin {
     snapshot: Arc<LiveSnapshot>,
-    engine_cfg: EngineConfig,
-    registry: Arc<Registry>,
+    scatter: Arc<Scatter>,
 }
 
 impl LivePin {
@@ -466,10 +462,19 @@ impl LivePin {
         depth: u8,
         k: usize,
     ) -> Result<ShardStream, EngineError> {
+        let members = &self.snapshot.shards[shard.0 as usize];
         let order = failover_order(self.snapshot.epoch.0, shard.0, self.snapshot.replicas);
         let mut last: Option<EngineError> = None;
         for ridx in order {
-            match self.eval_shard_on(shard, ridx as usize, query, depth, k) {
+            // One replica's pass through the shared evaluator, so it
+            // records `shard.<id>.eval_seconds` like a frozen shard does.
+            let replica = members
+                .iter()
+                .map(|m| (m.video, &*m.tree, &m.replicas[ridx as usize]));
+            match self
+                .scatter
+                .eval_shard(shard, replica, query, depth, k, &Budget::unlimited())
+            {
                 Ok(stream) => return Ok(stream),
                 Err(e) if e.is_degradable() => last = Some(e),
                 Err(e) => return Err(e),
@@ -483,39 +488,8 @@ impl LivePin {
         )))
     }
 
-    fn eval_shard_on(
-        &self,
-        shard: ShardId,
-        ridx: usize,
-        query: &Formula,
-        depth: u8,
-        k: usize,
-    ) -> Result<ShardStream, EngineError> {
-        let mut hits: Vec<ShardHit> = Vec::new();
-        for m in &self.snapshot.shards[shard.0 as usize] {
-            if depth >= m.tree.depth() {
-                continue;
-            }
-            let provider = &m.replicas[ridx];
-            let engine = Engine::with_registry(
-                provider,
-                &m.tree,
-                self.engine_cfg,
-                Arc::clone(&self.registry),
-            );
-            for seg in engine.top_k_closed(query, depth, k)? {
-                hits.push(ShardHit {
-                    video: m.video,
-                    pos: seg.pos,
-                    sim: seg.sim,
-                });
-            }
-        }
-        Ok(ShardStream::new(shard.0, hits))
-    }
-
-    /// Merges per-shard outcomes exactly as
-    /// [`crate::ShardedVideoDb::gather`] does — same counters
+    /// Merges per-shard outcomes through the same gather as
+    /// [`crate::ShardedVideoDb::gather`] — same counters
     /// (`shard.outcome.*`, `shard.candidates_pruned`,
     /// `shard.early_terminated`), same `missing_bound` construction — so
     /// a live corpus is accounted identically to a frozen one.
@@ -528,46 +502,7 @@ impl LivePin {
         per_shard: Vec<(ShardId, Result<ShardStream, EngineError>)>,
         k: usize,
     ) -> Result<ShardedAnswer, EngineError> {
-        let ok = self.registry.counter("shard.outcome.ok");
-        let failed_ctr = self.registry.counter("shard.outcome.failed");
-        let pruned = self.registry.counter("shard.candidates_pruned");
-        let early = self.registry.counter("shard.early_terminated");
-        let mut streams: Vec<ShardStream> = Vec::with_capacity(per_shard.len());
-        let mut failed: Vec<(ShardId, String)> = Vec::new();
-        for (id, outcome) in per_shard {
-            match outcome {
-                Ok(stream) => {
-                    ok.inc();
-                    streams.push(stream);
-                }
-                Err(e) if e.is_degradable() => {
-                    failed_ctr.inc();
-                    failed.push((id, e.to_string()));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        // The formula-level maximum similarity is video-independent —
-        // in particular, independent of the corpus epoch — so any
-        // surviving hit's `max` soundly bounds anything a failed shard
-        // could have contributed, churn or no churn.
-        let missing_bound = streams
-            .iter()
-            .find_map(|s| s.hits.first().map(|h| h.sim.max))
-            .unwrap_or(f64::INFINITY);
-        let (ranked, merge) = merge_shard_streams(&streams, k);
-        pruned.add(merge.candidates_pruned);
-        early.add(merge.early_terminated);
-        if failed.is_empty() {
-            Ok(ShardedAnswer::Complete(ShardedTopK { ranked, merge }))
-        } else {
-            Ok(ShardedAnswer::Degraded(ShardedDegraded {
-                ranked,
-                merge,
-                failed,
-                missing_bound,
-            }))
-        }
+        self.scatter.gather(per_shard, k)
     }
 
     /// Scatter-gather top-`k` over this pin's epoch. Bit-identical to a
@@ -587,10 +522,8 @@ impl LivePin {
         let normalized = normalize_query(query)?;
         let query = normalized.as_ref();
         let per_shard = (0..self.shard_count())
-            .map(|s| {
-                let id = ShardId(s);
-                (id, self.eval_shard_normalized(id, query, depth, k))
-            })
+            .map(ShardId)
+            .map(|s| (s, self.eval_shard_normalized(s, query, depth, k)))
             .collect();
         self.gather(per_shard, k)
     }
@@ -600,6 +533,7 @@ impl LivePin {
 mod tests {
     use super::*;
     use crate::ShardedVideoDb;
+    use simvid_core::ShardHit;
     use simvid_htl::parse;
     use simvid_model::VideoBuilder;
 
@@ -667,6 +601,18 @@ mod tests {
                 assert!(got.is_complete());
                 assert_eq!(got.ranked(), &frozen_answer(&store(), shards, &q, 5)[..]);
             }
+        }
+    }
+
+    #[test]
+    fn live_shard_evaluations_record_eval_seconds_like_frozen_shards() {
+        let q = parse("exists x . person(x) and holds_gun(x)").unwrap();
+        let shards = 3;
+        let db = live(shards, 1);
+        db.pin().top_k(&q, 1, 5).unwrap();
+        for s in 0..shards {
+            let h = db.registry().histogram(&format!("shard.{s}.eval_seconds"));
+            assert_eq!(h.count(), 1, "shard {s} records one evaluation");
         }
     }
 

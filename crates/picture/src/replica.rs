@@ -121,7 +121,7 @@ impl<'a> ReplicatedVideoDb<'a, PictureSystem<'a>> {
                 )
             })
             .collect();
-        Self::assemble(
+        Self::from_replicas(
             copies,
             BreakerConfig::default(),
             HedgePolicy::disabled(),
@@ -140,15 +140,6 @@ impl<'a, P: AtomicProvider> ReplicatedVideoDb<'a, P> {
     /// count.
     #[must_use]
     pub fn from_replicas(
-        replicas: Vec<ShardedVideoDb<'a, P>>,
-        breaker: BreakerConfig,
-        hedge: HedgePolicy,
-        registry: Arc<Registry>,
-    ) -> Self {
-        Self::assemble(replicas, breaker, hedge, registry)
-    }
-
-    fn assemble(
         replicas: Vec<ShardedVideoDb<'a, P>>,
         breaker: BreakerConfig,
         hedge: HedgePolicy,
@@ -182,13 +173,13 @@ impl<'a, P: AtomicProvider> ReplicatedVideoDb<'a, P> {
     /// Replaces the breaker tuning, resetting every breaker to closed.
     #[must_use]
     pub fn with_breaker(self, breaker: BreakerConfig) -> Self {
-        Self::assemble(self.replicas, breaker, self.hedge, self.registry)
+        Self::from_replicas(self.replicas, breaker, self.hedge, self.registry)
     }
 
     /// Replaces the hedged-read policy.
     #[must_use]
     pub fn with_hedge(self, hedge: HedgePolicy) -> Self {
-        Self::assemble(self.replicas, self.breaker_cfg, hedge, self.registry)
+        Self::from_replicas(self.replicas, self.breaker_cfg, hedge, self.registry)
     }
 
     /// Rewraps every per-video provider of every replica, preserving the
@@ -213,7 +204,7 @@ impl<'a, P: AtomicProvider> ReplicatedVideoDb<'a, P> {
                 db.map_providers(|sid, vid, p| f(rid, sid, vid, p))
             })
             .collect();
-        ReplicatedVideoDb::assemble(replicas, breaker, hedge, registry)
+        ReplicatedVideoDb::from_replicas(replicas, breaker, hedge, registry)
     }
 
     /// Visits every per-video provider of every replica.

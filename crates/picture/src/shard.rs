@@ -33,7 +33,8 @@ use simvid_core::{
 };
 use simvid_htl::{classify, normalize_for_engine, Formula, FormulaClass};
 use simvid_model::{CorpusEpoch, VideoId, VideoStore, VideoTree};
-use simvid_obs::Registry;
+use simvid_obs::{Counter, Histogram, Registry};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -159,8 +160,7 @@ impl ShardedAnswer {
 /// depending on them — see [`ShardedVideoDb::map_providers`].
 pub struct ShardedVideoDb<'a, P: AtomicProvider> {
     shards: Vec<Shard<'a, P>>,
-    engine_cfg: EngineConfig,
-    registry: Arc<Registry>,
+    scatter: Scatter,
     /// The corpus epoch the partition was built against. A frozen db
     /// serves this one epoch forever; the live layer builds a fresh
     /// snapshot per epoch instead of mutating one in place.
@@ -210,8 +210,7 @@ impl<'a> ShardedVideoDb<'a, PictureSystem<'a>> {
         }
         ShardedVideoDb {
             shards: buckets,
-            engine_cfg,
-            registry,
+            scatter: Scatter::new(shards, engine_cfg, registry),
             epoch,
         }
     }
@@ -246,8 +245,7 @@ impl<'a, P: AtomicProvider> ShardedVideoDb<'a, P> {
             .collect();
         ShardedVideoDb {
             shards,
-            engine_cfg: self.engine_cfg,
-            registry: self.registry,
+            scatter: self.scatter,
             epoch: self.epoch,
         }
     }
@@ -292,7 +290,7 @@ impl<'a, P: AtomicProvider> ShardedVideoDb<'a, P> {
     /// The metrics registry shared by every shard.
     #[must_use]
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
+        self.scatter.registry()
     }
 
     /// Evaluates `query` on one shard and returns its ranked candidate
@@ -312,13 +310,7 @@ impl<'a, P: AtomicProvider> ShardedVideoDb<'a, P> {
         depth: u8,
         k: usize,
     ) -> Result<ShardStream, EngineError> {
-        let normalized = normalize_query(query)?;
-        self.eval_shard_inner(
-            &self.shards[shard.0 as usize],
-            normalized.as_ref(),
-            depth,
-            k,
-        )
+        self.eval_shard_budgeted(shard, query, depth, k, &Budget::unlimited())
     }
 
     /// [`ShardedVideoDb::eval_shard`] under a request [`Budget`]: member
@@ -326,10 +318,9 @@ impl<'a, P: AtomicProvider> ShardedVideoDb<'a, P> {
     /// one budget across the whole shard, and a budget violation surfaces
     /// as its typed error instead of a partial stream (a shard stream must
     /// be exact — soundness of the merge depends on it). With
-    /// [`Budget::unlimited`] this is bit-identical to
-    /// [`ShardedVideoDb::eval_shard`], which is the same path with the
-    /// same unlimited budget. The replicated store uses the fuel cap to
-    /// implement deterministic hedged reads.
+    /// [`Budget::unlimited`] this is exactly [`ShardedVideoDb::eval_shard`].
+    /// The replicated store uses the fuel cap to implement deterministic
+    /// hedged reads.
     ///
     /// # Errors
     ///
@@ -345,72 +336,26 @@ impl<'a, P: AtomicProvider> ShardedVideoDb<'a, P> {
         budget: &Budget,
     ) -> Result<ShardStream, EngineError> {
         let normalized = normalize_query(query)?;
-        let query = normalized.as_ref();
-        let shard = &self.shards[shard.0 as usize];
-        let timer = self
-            .registry
-            .histogram(&format!("shard.{}.eval_seconds", shard.id.0));
-        let t0 = Instant::now();
-        let mut hits: Vec<ShardHit> = Vec::new();
-        for m in &shard.members {
-            if depth >= m.tree.depth() {
-                continue;
-            }
-            let engine = Engine::with_registry(
-                &m.provider,
-                m.tree,
-                self.engine_cfg,
-                Arc::clone(&self.registry),
-            );
-            match engine.top_k_closed_resilient(query, depth, k, budget)? {
-                TopKAnswer::Complete(ranked) => {
-                    for seg in ranked {
-                        hits.push(ShardHit {
-                            video: m.video,
-                            pos: seg.pos,
-                            sim: seg.sim,
-                        });
-                    }
-                }
-                TopKAnswer::Degraded(d) => return Err(d.reason),
-            }
-        }
-        timer.record_duration(t0.elapsed());
-        Ok(ShardStream::new(shard.id.0, hits))
+        self.eval_normalized(shard, normalized.as_ref(), depth, k, budget)
     }
 
-    fn eval_shard_inner(
+    fn eval_normalized(
         &self,
-        shard: &Shard<'a, P>,
+        shard: ShardId,
         query: &Formula,
         depth: u8,
         k: usize,
+        budget: &Budget,
     ) -> Result<ShardStream, EngineError> {
-        let timer = self
-            .registry
-            .histogram(&format!("shard.{}.eval_seconds", shard.id.0));
-        let t0 = Instant::now();
-        let mut hits: Vec<ShardHit> = Vec::new();
-        for m in &shard.members {
-            if depth >= m.tree.depth() {
-                continue;
-            }
-            let engine = Engine::with_registry(
-                &m.provider,
-                m.tree,
-                self.engine_cfg,
-                Arc::clone(&self.registry),
-            );
-            for seg in engine.top_k_closed(query, depth, k)? {
-                hits.push(ShardHit {
-                    video: m.video,
-                    pos: seg.pos,
-                    sim: seg.sim,
-                });
-            }
-        }
-        timer.record_duration(t0.elapsed());
-        Ok(ShardStream::new(shard.id.0, hits))
+        let members = self.shards[shard.0 as usize].members.iter();
+        self.scatter.eval_shard(
+            shard,
+            members.map(|m| (m.video, m.tree, &m.provider)),
+            query,
+            depth,
+            k,
+            budget,
+        )
     }
 
     /// Merges per-shard evaluation outcomes into a [`ShardedAnswer`],
@@ -429,45 +374,7 @@ impl<'a, P: AtomicProvider> ShardedVideoDb<'a, P> {
         per_shard: Vec<(ShardId, Result<ShardStream, EngineError>)>,
         k: usize,
     ) -> Result<ShardedAnswer, EngineError> {
-        let ok = self.registry.counter("shard.outcome.ok");
-        let failed_ctr = self.registry.counter("shard.outcome.failed");
-        let pruned = self.registry.counter("shard.candidates_pruned");
-        let early = self.registry.counter("shard.early_terminated");
-        let mut streams: Vec<ShardStream> = Vec::with_capacity(per_shard.len());
-        let mut failed: Vec<(ShardId, String)> = Vec::new();
-        for (id, outcome) in per_shard {
-            match outcome {
-                Ok(stream) => {
-                    ok.inc();
-                    streams.push(stream);
-                }
-                Err(e) if e.is_degradable() => {
-                    failed_ctr.inc();
-                    failed.push((id, e.to_string()));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        // The formula-level maximum similarity is video-independent, so
-        // any surviving hit's `max` bounds anything a failed shard could
-        // have contributed. No surviving hit → no certificate → infinity.
-        let missing_bound = streams
-            .iter()
-            .find_map(|s| s.hits.first().map(|h| h.sim.max))
-            .unwrap_or(f64::INFINITY);
-        let (ranked, merge) = merge_shard_streams(&streams, k);
-        pruned.add(merge.candidates_pruned);
-        early.add(merge.early_terminated);
-        if failed.is_empty() {
-            Ok(ShardedAnswer::Complete(ShardedTopK { ranked, merge }))
-        } else {
-            Ok(ShardedAnswer::Degraded(ShardedDegraded {
-                ranked,
-                merge,
-                failed,
-                missing_bound,
-            }))
-        }
+        self.scatter.gather(per_shard, k)
     }
 
     /// Scatter-gather top-`k`: evaluates `query` on every shard and
@@ -487,16 +394,19 @@ impl<'a, P: AtomicProvider> ShardedVideoDb<'a, P> {
         let normalized = normalize_query(query)?;
         let query = normalized.as_ref();
         let per_shard = self
-            .shards
-            .iter()
-            .map(|s| (s.id, self.eval_shard_inner(s, query, depth, k)))
+            .shard_ids()
+            .map(|s| {
+                let stream = self.eval_normalized(s, query, depth, k, &Budget::unlimited());
+                (s, stream)
+            })
             .collect();
         self.gather(per_shard, k)
     }
 
     /// The unsharded oracle: a flat scan over every video (same per-video
     /// pruned evaluation), one global sort, truncate at `k`. This is the
-    /// reference the scatter-gather path must reproduce bit-identically.
+    /// reference the scatter-gather path must reproduce bit-identically;
+    /// it records into no shard histogram.
     ///
     /// # Errors
     ///
@@ -509,65 +419,169 @@ impl<'a, P: AtomicProvider> ShardedVideoDb<'a, P> {
         k: usize,
     ) -> Result<Vec<ShardHit>, EngineError> {
         let normalized = normalize_query(query)?;
-        let query = normalized.as_ref();
-        let mut hits: Vec<ShardHit> = Vec::new();
-        for s in &self.shards {
-            for m in &s.members {
-                if depth >= m.tree.depth() {
-                    continue;
-                }
-                let engine = Engine::with_registry(
-                    &m.provider,
-                    m.tree,
-                    self.engine_cfg,
-                    Arc::clone(&self.registry),
-                );
-                for seg in engine.top_k_closed(query, depth, k)? {
-                    hits.push(ShardHit {
-                        video: m.video,
-                        pos: seg.pos,
-                        sim: seg.sim,
-                    });
-                }
-            }
-        }
+        let members = self.shards.iter().flat_map(|s| &s.members);
+        let mut hits = self.scatter.collect_hits(
+            members.map(|m| (m.video, m.tree, &m.provider)),
+            normalized.as_ref(),
+            depth,
+            k,
+            &Budget::unlimited(),
+        )?;
         hits.sort_by(simvid_core::global_rank);
         hits.truncate(k);
         Ok(hits)
     }
 }
 
-/// Hoists inline quantifiers exactly as [`crate::VideoDatabase::retrieve`]
-/// does, so naively-written queries reach the engine-supported class.
-/// Shared with the live-ingestion store so both normalize identically.
-pub(crate) fn normalize_query(query: &Formula) -> Result<NormalizedQuery<'_>, EngineError> {
-    if classify(query) == FormulaClass::General {
-        let (hoisted, _, after) = normalize_for_engine(query);
-        if after == FormulaClass::General {
-            return Err(EngineError::UnsupportedFormula(
-                "sharded retrieval requires extended conjunctive formulas \
-                 (even after quantifier hoisting)"
-                    .into(),
-            ));
+/// The scatter-gather machinery every store shares: the engine
+/// configuration, the registry, and the shard metrics resolved once at
+/// construction. [`ShardedVideoDb`] (and through its copies
+/// [`crate::ReplicatedVideoDb`]) and [`crate::LivePin`] evaluate shards
+/// and gather through it, so a request is evaluated and accounted
+/// identically on every topology.
+pub(crate) struct Scatter {
+    engine_cfg: EngineConfig,
+    registry: Arc<Registry>,
+    /// `shard.<id>.eval_seconds`, indexed by shard id.
+    eval_seconds: Vec<Arc<Histogram>>,
+    ok: Arc<Counter>,
+    failed: Arc<Counter>,
+    pruned: Arc<Counter>,
+    early: Arc<Counter>,
+}
+
+impl Scatter {
+    pub(crate) fn new(shards: u32, engine_cfg: EngineConfig, registry: Arc<Registry>) -> Scatter {
+        Scatter {
+            engine_cfg,
+            eval_seconds: (0..shards)
+                .map(|s| registry.histogram(&format!("shard.{s}.eval_seconds")))
+                .collect(),
+            ok: registry.counter("shard.outcome.ok"),
+            failed: registry.counter("shard.outcome.failed"),
+            pruned: registry.counter("shard.candidates_pruned"),
+            early: registry.counter("shard.early_terminated"),
+            registry,
         }
-        Ok(NormalizedQuery::Owned(hoisted))
-    } else {
-        Ok(NormalizedQuery::Borrowed(query))
+    }
+
+    pub(crate) fn registry(&self) -> &Arc<Registry> {
+        &self.registry
+    }
+
+    /// The one shard evaluator: [`Scatter::collect_hits`] over the shard's
+    /// members, timed into `shard.<id>.eval_seconds` when it succeeds.
+    pub(crate) fn eval_shard<'m, P: AtomicProvider + 'm>(
+        &self,
+        shard: ShardId,
+        members: impl Iterator<Item = (VideoId, &'m VideoTree, &'m P)>,
+        query: &Formula,
+        depth: u8,
+        k: usize,
+        budget: &Budget,
+    ) -> Result<ShardStream, EngineError> {
+        let t0 = Instant::now();
+        let hits = self.collect_hits(members, query, depth, k, budget)?;
+        self.eval_seconds[shard.0 as usize].record_duration(t0.elapsed());
+        Ok(ShardStream::new(shard.0, hits))
+    }
+
+    /// Each member video's pruned top-`k` under `budget`, as unsorted
+    /// [`ShardHit`]s — the only place a member [`Engine`] is built. A
+    /// degraded member answer surfaces as its reason: a shard stream must
+    /// be exact for the merge to stay sound.
+    pub(crate) fn collect_hits<'m, P: AtomicProvider + 'm>(
+        &self,
+        members: impl Iterator<Item = (VideoId, &'m VideoTree, &'m P)>,
+        query: &Formula,
+        depth: u8,
+        k: usize,
+        budget: &Budget,
+    ) -> Result<Vec<ShardHit>, EngineError> {
+        let mut hits: Vec<ShardHit> = Vec::new();
+        for (video, tree, provider) in members {
+            if depth >= tree.depth() {
+                continue;
+            }
+            let engine =
+                Engine::with_registry(provider, tree, self.engine_cfg, Arc::clone(&self.registry));
+            match engine.top_k_closed_resilient(query, depth, k, budget)? {
+                TopKAnswer::Complete(ranked) => {
+                    hits.extend(ranked.into_iter().map(|seg| ShardHit {
+                        video,
+                        pos: seg.pos,
+                        sim: seg.sim,
+                    }))
+                }
+                TopKAnswer::Degraded(d) => return Err(d.reason),
+            }
+        }
+        Ok(hits)
+    }
+
+    /// The one gather: merges per-shard outcomes into a [`ShardedAnswer`]
+    /// and counts them (see [`ShardedVideoDb::gather`]).
+    pub(crate) fn gather(
+        &self,
+        per_shard: Vec<(ShardId, Result<ShardStream, EngineError>)>,
+        k: usize,
+    ) -> Result<ShardedAnswer, EngineError> {
+        let mut streams: Vec<ShardStream> = Vec::with_capacity(per_shard.len());
+        let mut failed: Vec<(ShardId, String)> = Vec::new();
+        for (id, outcome) in per_shard {
+            match outcome {
+                Ok(stream) => {
+                    self.ok.inc();
+                    streams.push(stream);
+                }
+                Err(e) if e.is_degradable() => {
+                    self.failed.inc();
+                    failed.push((id, e.to_string()));
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        // The formula-level maximum similarity is video-independent — in
+        // particular, independent of the corpus epoch — so any surviving
+        // hit's `max` soundly bounds anything a failed shard could have
+        // contributed, churn or no churn. No surviving hit → no
+        // certificate → infinity.
+        let missing_bound = streams
+            .iter()
+            .find_map(|s| s.hits.first().map(|h| h.sim.max))
+            .unwrap_or(f64::INFINITY);
+        let (ranked, merge) = merge_shard_streams(&streams, k);
+        self.pruned.add(merge.candidates_pruned);
+        self.early.add(merge.early_terminated);
+        if failed.is_empty() {
+            Ok(ShardedAnswer::Complete(ShardedTopK { ranked, merge }))
+        } else {
+            Ok(ShardedAnswer::Degraded(ShardedDegraded {
+                ranked,
+                merge,
+                failed,
+                missing_bound,
+            }))
+        }
     }
 }
 
-pub(crate) enum NormalizedQuery<'q> {
-    Borrowed(&'q Formula),
-    Owned(Formula),
-}
-
-impl NormalizedQuery<'_> {
-    pub(crate) fn as_ref(&self) -> &Formula {
-        match self {
-            NormalizedQuery::Borrowed(f) => f,
-            NormalizedQuery::Owned(f) => f,
-        }
+/// Hoists inline quantifiers so naively-written queries reach the
+/// engine-supported class. Every multi-video store normalizes through
+/// this one function.
+pub(crate) fn normalize_query(query: &Formula) -> Result<Cow<'_, Formula>, EngineError> {
+    if classify(query) != FormulaClass::General {
+        return Ok(Cow::Borrowed(query));
     }
+    let (hoisted, _, after) = normalize_for_engine(query);
+    if after == FormulaClass::General {
+        return Err(EngineError::UnsupportedFormula(
+            "multi-video retrieval requires extended conjunctive formulas \
+             (even after quantifier hoisting)"
+                .into(),
+        ));
+    }
+    Ok(Cow::Owned(hoisted))
 }
 
 #[cfg(test)]
@@ -661,6 +675,26 @@ mod tests {
                 assert_eq!(answer.ranked(), &oracle[..], "shards={shards} k={k}");
             }
         }
+    }
+
+    #[test]
+    fn only_the_scatter_path_records_shard_eval_seconds() {
+        let store = store();
+        let db = db(&store, 3);
+        let q = parse("exists x . holds_gun(x)").unwrap();
+        let eval_counts = || -> Vec<u64> {
+            db.shard_ids()
+                .map(|s| {
+                    db.registry()
+                        .histogram(&format!("shard.{}.eval_seconds", s.0))
+                        .count()
+                })
+                .collect()
+        };
+        db.top_k_unsharded(&q, 1, 5).unwrap();
+        assert_eq!(eval_counts(), vec![0; 3], "the oracle is not a shard");
+        db.top_k(&q, 1, 5).unwrap();
+        assert_eq!(eval_counts(), vec![1; 3]);
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! independently (indices and similarity lists are per video) and the
 //! results are merged into one global top-*k* ranking.
 
+use crate::shard::normalize_query;
 use crate::{PictureSystem, ScoringConfig};
 use simvid_core::{rank_entries, Engine, EngineConfig, EngineError, Sim};
-use simvid_htl::{classify, normalize_for_engine, Formula, FormulaClass};
-use simvid_model::{SegmentId, VideoId, VideoStore};
+use simvid_htl::Formula;
+use simvid_model::{SegmentId, VideoId, VideoStore, VideoTree};
 
 /// One retrieved segment of one video.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,60 +88,12 @@ impl<'a> VideoDatabase<'a> {
         // Users often write quantifiers inline; hoist them to prefix form
         // when that (semantics-preservingly) brings the query into an
         // engine-supported class.
-        let normalized;
-        let query = if classify(query) == FormulaClass::General {
-            let (hoisted, _, after) = normalize_for_engine(query);
-            if after == FormulaClass::General {
-                return Err(EngineError::UnsupportedFormula(
-                    "multi-video retrieval requires extended conjunctive formulas                      (even after quantifier hoisting)"
-                        .into(),
-                ));
-            }
-            normalized = hoisted;
-            &normalized
-        } else {
-            query
-        };
+        let normalized = normalize_query(query)?;
         let mut hits: Vec<Hit> = Vec::new();
         for (vid, tree) in self.store.iter() {
-            let depth = match level {
-                QueryLevel::Named(name) => match tree.level_by_name(name) {
-                    Some(d) => d,
-                    None => continue,
-                },
-                QueryLevel::Depth(d) => {
-                    if *d >= tree.depth() {
-                        continue;
-                    }
-                    *d
-                }
-                QueryLevel::Leaves => tree.leaf_level(),
-            };
-            let system = PictureSystem::new(tree, self.scoring.clone());
-            let engine = Engine::with_config(&system, tree, self.engine_cfg);
-            let list = engine.eval_closed_at_level(query, depth)?;
-            let seq = tree.level_sequence(depth);
-            for (iv, sim) in rank_entries(&list) {
-                for pos in iv.beg..=iv.end {
-                    hits.push(Hit {
-                        video: vid,
-                        segment: seq[pos as usize - 1],
-                        pos,
-                        sim,
-                    });
-                }
-            }
+            hits.extend(self.eval_video(vid, tree, normalized.as_ref(), level)?);
         }
-        hits.sort_by(|a, b| {
-            b.sim
-                .act
-                .partial_cmp(&a.sim.act)
-                .expect("similarities are finite")
-                .then(a.video.cmp(&b.video))
-                .then(a.pos.cmp(&b.pos))
-        });
-        hits.truncate(k);
-        Ok(hits)
+        Ok(rank_hits(hits, k))
     }
 
     /// [`VideoDatabase::retrieve`] with per-video evaluation fanned out
@@ -158,60 +111,13 @@ impl<'a> VideoDatabase<'a> {
         level: &QueryLevel,
         k: usize,
     ) -> Result<Vec<Hit>, EngineError> {
-        let normalized;
-        let query = if classify(query) == FormulaClass::General {
-            let (hoisted, _, after) = normalize_for_engine(query);
-            if after == FormulaClass::General {
-                return Err(EngineError::UnsupportedFormula(
-                    "multi-video retrieval requires extended conjunctive formulas \
-                     (even after quantifier hoisting)"
-                        .into(),
-                ));
-            }
-            normalized = hoisted;
-            &normalized
-        } else {
-            query
-        };
+        let normalized = normalize_query(query)?;
+        let query = normalized.as_ref();
         let results: Vec<Result<Vec<Hit>, EngineError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .store
                 .iter()
-                .map(|(vid, tree)| {
-                    let scoring = self.scoring.clone();
-                    let engine_cfg = self.engine_cfg;
-                    scope.spawn(move || -> Result<Vec<Hit>, EngineError> {
-                        let depth = match level {
-                            QueryLevel::Named(name) => match tree.level_by_name(name) {
-                                Some(d) => d,
-                                None => return Ok(Vec::new()),
-                            },
-                            QueryLevel::Depth(d) => {
-                                if *d >= tree.depth() {
-                                    return Ok(Vec::new());
-                                }
-                                *d
-                            }
-                            QueryLevel::Leaves => tree.leaf_level(),
-                        };
-                        let system = PictureSystem::new(tree, scoring);
-                        let engine = Engine::with_config(&system, tree, engine_cfg);
-                        let list = engine.eval_closed_at_level(query, depth)?;
-                        let seq = tree.level_sequence(depth);
-                        let mut out = Vec::new();
-                        for (iv, sim) in rank_entries(&list) {
-                            for pos in iv.beg..=iv.end {
-                                out.push(Hit {
-                                    video: vid,
-                                    segment: seq[pos as usize - 1],
-                                    pos,
-                                    sim,
-                                });
-                            }
-                        }
-                        Ok(out)
-                    })
-                })
+                .map(|(vid, tree)| scope.spawn(move || self.eval_video(vid, tree, query, level)))
                 .collect();
             handles
                 .into_iter()
@@ -222,17 +128,59 @@ impl<'a> VideoDatabase<'a> {
         for r in results {
             hits.extend(r?);
         }
-        hits.sort_by(|a, b| {
-            b.sim
-                .act
-                .partial_cmp(&a.sim.act)
-                .expect("similarities are finite")
-                .then(a.video.cmp(&b.video))
-                .then(a.pos.cmp(&b.pos))
-        });
-        hits.truncate(k);
+        Ok(rank_hits(hits, k))
+    }
+
+    /// One video's ranked hits at `level` — none when the video lacks the
+    /// level. The per-video evaluation both retrieval paths share.
+    fn eval_video(
+        &self,
+        video: VideoId,
+        tree: &VideoTree,
+        query: &Formula,
+        level: &QueryLevel,
+    ) -> Result<Vec<Hit>, EngineError> {
+        let depth = match level {
+            QueryLevel::Named(name) => match tree.level_by_name(name) {
+                Some(d) => d,
+                None => return Ok(Vec::new()),
+            },
+            QueryLevel::Depth(d) if *d >= tree.depth() => return Ok(Vec::new()),
+            QueryLevel::Depth(d) => *d,
+            QueryLevel::Leaves => tree.leaf_level(),
+        };
+        let system = PictureSystem::new(tree, self.scoring.clone());
+        let engine = Engine::with_config(&system, tree, self.engine_cfg);
+        let list = engine.eval_closed_at_level(query, depth)?;
+        let seq = tree.level_sequence(depth);
+        let mut hits = Vec::new();
+        for (iv, sim) in rank_entries(&list) {
+            for pos in iv.beg..=iv.end {
+                hits.push(Hit {
+                    video,
+                    segment: seq[pos as usize - 1],
+                    pos,
+                    sim,
+                });
+            }
+        }
         Ok(hits)
     }
+}
+
+/// The global top-`k` of multi-video hits: actual similarity descending,
+/// then video id, then temporal order.
+fn rank_hits(mut hits: Vec<Hit>, k: usize) -> Vec<Hit> {
+    hits.sort_by(|a, b| {
+        b.sim
+            .act
+            .partial_cmp(&a.sim.act)
+            .expect("similarities are finite")
+            .then(a.video.cmp(&b.video))
+            .then(a.pos.cmp(&b.pos))
+    });
+    hits.truncate(k);
+    hits
 }
 
 #[cfg(test)]

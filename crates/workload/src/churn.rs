@@ -12,23 +12,21 @@
 //!   request, apply any batch scheduled at its position; then pin a
 //!   snapshot and answer.
 //! * [`run_schedule_churn_concurrent`] — the segments between mutation
-//!   points run through the PR 7 `(request, shard)` worker-pool fan-out
+//!   points run through the shared `(request, shard)` worker-pool fan-out
 //!   against one pinned snapshot per segment; the pool drains (a
 //!   barrier) at each mutation point, the batch applies, and the next
 //!   segment pins the new epoch. Answers are bit-identical to the
 //!   sequential runner at every worker count because each request is
 //!   answered at the same epoch either way.
 
-use simvid_core::{EngineError, ShardStream};
 use simvid_htl::Formula;
 use simvid_model::{CorpusOp, VideoId, VideoStore};
-use simvid_picture::{LivePin, LiveVideoDb, ShardId, ShardedAnswer};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use simvid_picture::{LiveVideoDb, ShardId, ShardedAnswer};
 use std::time::{Duration, Instant};
 
 use crate::randomvideo::{generate, VideoGenConfig};
-use crate::serve::{BoundedQueue, CloseOnPanic, ExecutorConfig};
+use crate::serve::{run_fan_out, run_in_order, ExecutorConfig};
+use crate::shard::by_shard;
 
 /// Parameters of the churn workload.
 #[derive(Debug, Clone)]
@@ -237,39 +235,44 @@ impl ChurnRun {
 /// construction) or a request fails non-degradably.
 #[must_use]
 pub fn run_schedule_churn(w: &ChurnWorkload, db: &LiveVideoDb) -> ChurnRun {
-    let requests = db.registry().counter("serve.requests");
-    let latency = db.registry().histogram("serve.request_seconds");
     let depth = w.depth();
     let start = Instant::now();
-    let mut answers: Vec<(u64, ShardedAnswer)> = Vec::with_capacity(w.schedule.len());
-    let mut bi = 0;
-    for (r, &q) in w.schedule.iter().enumerate() {
-        while bi < w.batches.len() && w.batches[bi].0 <= r {
-            db.apply(&w.batches[bi].1).expect("scheduled batch applies");
-            bi += 1;
-        }
-        let pin = db.pin();
-        let t0 = Instant::now();
-        let answer = pin
-            .top_k(&w.queries[q], depth, w.k)
-            .expect("churn request evaluates");
-        latency.record_duration(t0.elapsed());
-        requests.inc();
-        answers.push((pin.epoch().0, answer));
-    }
-    while bi < w.batches.len() {
-        db.apply(&w.batches[bi].1).expect("scheduled batch applies");
-        bi += 1;
-    }
+    let mut applied = 0;
+    let (answers, _) = run_in_order(
+        db.registry(),
+        w.schedule.len(),
+        |r| apply_due(w, db, &mut applied, r),
+        |r| {
+            let pin = db.pin();
+            let answer = pin
+                .top_k(&w.queries[w.schedule[r]], depth, w.k)
+                .expect("churn request evaluates");
+            (pin.epoch().0, answer)
+        },
+    );
+    apply_due(w, db, &mut applied, usize::MAX);
     ChurnRun {
         answers,
         elapsed: start.elapsed(),
     }
 }
 
+/// Applies, in order, every batch from `w.batches[*applied..]` scheduled
+/// at or before request `upto`.
+///
+/// # Panics
+///
+/// Panics if a batch is rejected (batches are valid by construction).
+fn apply_due(w: &ChurnWorkload, db: &LiveVideoDb, applied: &mut usize, upto: usize) {
+    while let Some((_, ops)) = w.batches.get(*applied).filter(|(at, _)| *at <= upto) {
+        db.apply(ops).expect("scheduled batch applies");
+        *applied += 1;
+    }
+}
+
 /// Concurrent twin of [`run_schedule_churn`]: each segment of requests
 /// between mutation points fans out as `(request, shard)` tasks over the
-/// PR 7 worker pool against **one pinned snapshot**; the pool drains at
+/// shared worker pool against **one pinned snapshot**; the pool drains at
 /// every mutation point (a barrier), the batch applies, and the next
 /// segment pins the new epoch. Bit-identical to the sequential runner at
 /// every worker count.
@@ -285,128 +288,40 @@ pub fn run_schedule_churn_concurrent(
     exec: &ExecutorConfig,
 ) -> ChurnRun {
     let n = w.schedule.len();
+    let depth = w.depth();
     let start = Instant::now();
     let mut answers: Vec<(u64, ShardedAnswer)> = Vec::with_capacity(n);
-    let mut bi = 0;
+    let mut applied = 0;
     let mut lo = 0;
     while lo < n {
-        while bi < w.batches.len() && w.batches[bi].0 <= lo {
-            db.apply(&w.batches[bi].1).expect("scheduled batch applies");
-            bi += 1;
-        }
+        apply_due(w, db, &mut applied, lo);
         // All remaining batch positions are > lo, so the segment is
         // non-empty and every request in it serves the just-pinned epoch.
-        let hi = if bi < w.batches.len() {
-            w.batches[bi].0.min(n)
-        } else {
-            n
-        };
+        let hi = w.batches.get(applied).map_or(n, |(at, _)| (*at).min(n));
         let pin = db.pin();
         let epoch = pin.epoch().0;
-        let segment = run_segment_concurrent(w, db, &pin, lo, hi, exec);
+        let segment = run_fan_out(
+            exec,
+            db.registry(),
+            hi - lo,
+            pin.shard_count() as usize,
+            |i, s| {
+                let query = &w.queries[w.schedule[lo + i]];
+                pin.eval_shard(ShardId(s as u32), query, depth, w.k)
+            },
+            |streams| {
+                pin.gather(by_shard(streams), w.k)
+                    .expect("churn request evaluates")
+            },
+        );
         answers.extend(segment.into_iter().map(|a| (epoch, a)));
         lo = hi;
     }
-    while bi < w.batches.len() {
-        db.apply(&w.batches[bi].1).expect("scheduled batch applies");
-        bi += 1;
-    }
+    apply_due(w, db, &mut applied, usize::MAX);
     ChurnRun {
         answers,
         elapsed: start.elapsed(),
     }
-}
-
-/// Fans requests `lo..hi` out as `(request, shard)` tasks against one
-/// pinned snapshot — the same slot-ordered scatter state as
-/// [`crate::shard::run_schedule_sharded_concurrent`], with the pin
-/// supplying `eval_shard`/`gather`.
-fn run_segment_concurrent(
-    w: &ChurnWorkload,
-    db: &LiveVideoDb,
-    pin: &LivePin,
-    lo: usize,
-    hi: usize,
-    exec: &ExecutorConfig,
-) -> Vec<ShardedAnswer> {
-    let registry = db.registry();
-    let workers = exec.workers.max(1);
-    let shards = pin.shard_count().max(1) as usize;
-    let requests = registry.counter("serve.requests");
-    let latency = registry.histogram("serve.request_seconds");
-    let queue = BoundedQueue::new(exec.queue_depth.max(1), registry);
-    let depth = w.depth();
-    let n = hi - lo;
-    type StreamSlot = Mutex<Option<Result<ShardStream, EngineError>>>;
-    let streams: Vec<Vec<StreamSlot>> = (0..n)
-        .map(|_| (0..shards).map(|_| Mutex::new(None)).collect())
-        .collect();
-    let remaining: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(shards)).collect();
-    let started: Vec<Mutex<Option<Instant>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let answers: Vec<Mutex<Option<ShardedAnswer>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for wid in 0..workers {
-            let queue = &queue;
-            let (streams, remaining, started, answers) = (&streams, &remaining, &started, &answers);
-            let (requests, latency) = (&requests, &latency);
-            let worker_shards = registry.histogram(&format!("serve.worker.{wid}.shard_seconds"));
-            scope.spawn(move || {
-                let _guard = CloseOnPanic(queue);
-                while let Some(task) = queue.pop() {
-                    let (i, s) = (task / shards, task % shards);
-                    started[i]
-                        .lock()
-                        .expect("request start lock")
-                        .get_or_insert_with(Instant::now);
-                    let t0 = Instant::now();
-                    let stream = pin.eval_shard(
-                        ShardId(s as u32),
-                        &w.queries[w.schedule[lo + i]],
-                        depth,
-                        w.k,
-                    );
-                    worker_shards.record_duration(t0.elapsed());
-                    *streams[i][s].lock().expect("stream slot lock") = Some(stream);
-                    if remaining[i].fetch_sub(1, Ordering::AcqRel) == 1 {
-                        let per_shard = streams[i]
-                            .iter()
-                            .enumerate()
-                            .map(|(si, slot)| {
-                                let outcome = slot
-                                    .lock()
-                                    .expect("stream slot lock")
-                                    .take()
-                                    .expect("every shard slot resolves before gather");
-                                (ShardId(si as u32), outcome)
-                            })
-                            .collect();
-                        let answer = pin.gather(per_shard, w.k).expect("churn request evaluates");
-                        let t0 = started[i]
-                            .lock()
-                            .expect("request start lock")
-                            .expect("request start recorded before gather");
-                        latency.record_duration(t0.elapsed());
-                        requests.inc();
-                        *answers[i].lock().expect("answer slot lock") = Some(answer);
-                    }
-                }
-            });
-        }
-        for task in 0..n * shards {
-            if !queue.push(task) {
-                break; // a worker panicked; the scope join re-panics below
-            }
-        }
-        queue.close();
-    });
-    answers
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("answer slot lock")
-                .expect("every admitted request resolves")
-        })
-        .collect()
 }
 
 #[cfg(test)]

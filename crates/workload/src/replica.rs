@@ -16,14 +16,12 @@
 //!   under per-replica-pure fault worlds, bit-identical to the sequential
 //!   runner for every worker count.
 
-use simvid_core::{AtomicProvider, EngineError, ShardStream};
+use simvid_core::AtomicProvider;
 use simvid_picture::{ReplicaTrace, ReplicatedVideoDb, ShardId, ShardedAnswer};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::serve::{BoundedQueue, CloseOnPanic, ExecutorConfig};
-use crate::shard::ShardedServeWorkload;
+use crate::serve::{run_fan_out, run_in_order, ExecutorConfig};
+use crate::shard::{by_shard, ShardedServeWorkload};
 
 /// The outcome of driving one replicated request schedule.
 #[derive(Debug, Clone)]
@@ -79,29 +77,18 @@ impl ReplicatedScheduleRun {
 pub fn run_schedule_replicated<P: AtomicProvider>(
     w: &ShardedServeWorkload,
     db: &ReplicatedVideoDb<P>,
-    mut before_request: impl FnMut(usize),
+    before_request: impl FnMut(usize),
 ) -> ReplicatedScheduleRun {
-    let requests = db.registry().counter("serve.requests");
-    let latency = db.registry().histogram("serve.request_seconds");
     let depth = w.depth();
-    let start = Instant::now();
-    let mut answers = Vec::with_capacity(w.schedule.len());
-    let mut traces = Vec::with_capacity(w.schedule.len());
-    for (r, &q) in w.schedule.iter().enumerate() {
-        before_request(r);
-        let t0 = Instant::now();
-        let (answer, trace) = db
-            .top_k_replicated(r as u64, &w.queries[q], depth, w.k)
-            .expect("replicated request evaluates");
-        latency.record_duration(t0.elapsed());
-        requests.inc();
-        answers.push(answer);
-        traces.push(trace);
-    }
+    let (answers, elapsed) = run_in_order(db.registry(), w.schedule.len(), before_request, |r| {
+        db.top_k_replicated(r as u64, &w.queries[w.schedule[r]], depth, w.k)
+            .expect("replicated request evaluates")
+    });
+    let (answers, traces) = answers.into_iter().unzip();
     ReplicatedScheduleRun {
         answers,
         traces,
-        elapsed: start.elapsed(),
+        elapsed,
     }
 }
 
@@ -130,96 +117,31 @@ pub fn run_schedule_replicated_concurrent<P: AtomicProvider>(
     exec: &ExecutorConfig,
     before_task: impl Fn(usize) + Sync,
 ) -> ReplicatedScheduleRun {
-    let registry = db.registry();
-    let workers = exec.workers.max(1);
-    let shards = db.shard_count().max(1) as usize;
-    let requests = registry.counter("serve.requests");
-    let latency = registry.histogram("serve.request_seconds");
-    let queue = BoundedQueue::new(exec.queue_depth.max(1), registry);
     let depth = w.depth();
-    let n = w.schedule.len();
-    type ReadSlot = Mutex<Option<(Result<ShardStream, EngineError>, ReplicaTrace)>>;
-    let reads: Vec<Vec<ReadSlot>> = (0..n)
-        .map(|_| (0..shards).map(|_| Mutex::new(None)).collect())
-        .collect();
-    let remaining: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(shards)).collect();
-    let started: Vec<Mutex<Option<Instant>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    type AnswerSlot = Mutex<Option<(ShardedAnswer, Vec<ReplicaTrace>)>>;
-    let answers: Vec<AnswerSlot> = (0..n).map(|_| Mutex::new(None)).collect();
     let start = Instant::now();
-    std::thread::scope(|scope| {
-        for wid in 0..workers {
-            let queue = &queue;
-            let (reads, remaining, started, answers) = (&reads, &remaining, &started, &answers);
-            let (requests, latency) = (&requests, &latency);
-            let before_task = &before_task;
-            let worker_shards = registry.histogram(&format!("serve.worker.{wid}.shard_seconds"));
-            scope.spawn(move || {
-                let _guard = CloseOnPanic(queue);
-                while let Some(task) = queue.pop() {
-                    let (r, s) = (task / shards, task % shards);
-                    started[r]
-                        .lock()
-                        .expect("request start lock")
-                        .get_or_insert_with(Instant::now);
-                    before_task(r);
-                    let t0 = Instant::now();
-                    let read = db.eval_shard_replicated(
-                        r as u64,
-                        ShardId(s as u32),
-                        &w.queries[w.schedule[r]],
-                        depth,
-                        w.k,
-                    );
-                    worker_shards.record_duration(t0.elapsed());
-                    *reads[r][s].lock().expect("read slot lock") = Some(read);
-                    if remaining[r].fetch_sub(1, Ordering::AcqRel) == 1 {
-                        // Last shard of request `r`: gather on this worker.
-                        let mut per_shard = Vec::with_capacity(shards);
-                        let mut trace = Vec::with_capacity(shards);
-                        for (i, slot) in reads[r].iter().enumerate() {
-                            let (outcome, t) = slot
-                                .lock()
-                                .expect("read slot lock")
-                                .take()
-                                .expect("every shard slot resolves before gather");
-                            per_shard.push((ShardId(i as u32), outcome));
-                            trace.push(t);
-                        }
-                        let answer = db
-                            .gather(per_shard, w.k)
-                            .expect("replicated request evaluates");
-                        let t0 = started[r]
-                            .lock()
-                            .expect("request start lock")
-                            .expect("request start recorded before gather");
-                        latency.record_duration(t0.elapsed());
-                        requests.inc();
-                        *answers[r].lock().expect("answer slot lock") = Some((answer, trace));
-                    }
-                }
-            });
-        }
-        for task in 0..n * shards {
-            if !queue.push(task) {
-                break; // a worker panicked; the scope join re-panics below
-            }
-        }
-        queue.close();
-    });
-    let mut answers_out = Vec::with_capacity(n);
-    let mut traces_out = Vec::with_capacity(n);
-    for slot in answers {
-        let (answer, trace) = slot
-            .into_inner()
-            .expect("answer slot lock")
-            .expect("every admitted request resolves");
-        answers_out.push(answer);
-        traces_out.push(trace);
-    }
+    let (answers, traces) = run_fan_out(
+        exec,
+        db.registry(),
+        w.schedule.len(),
+        db.shard_count() as usize,
+        |r, s| {
+            before_task(r);
+            let query = &w.queries[w.schedule[r]];
+            db.eval_shard_replicated(r as u64, ShardId(s as u32), query, depth, w.k)
+        },
+        |reads| {
+            let (per_shard, traces): (Vec<_>, Vec<_>) = reads.into_iter().unzip();
+            let answer = db
+                .gather(by_shard(per_shard), w.k)
+                .expect("replicated request evaluates");
+            (answer, traces)
+        },
+    )
+    .into_iter()
+    .unzip();
     ReplicatedScheduleRun {
-        answers: answers_out,
-        traces: traces_out,
+        answers,
+        traces,
         elapsed: start.elapsed(),
     }
 }

@@ -18,7 +18,8 @@ use simvid_htl::{parse, Formula};
 use simvid_model::VideoTree;
 use simvid_obs::Registry;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::randomvideo::{generate, VideoGenConfig};
@@ -125,30 +126,50 @@ pub struct ScheduleRun {
 /// closed, so this indicates an engine bug).
 #[must_use]
 pub fn run_schedule<P: AtomicProvider>(w: &ServeWorkload, engine: &Engine<P>) -> ScheduleRun {
-    let requests = engine.registry().counter("serve.requests");
-    let latency = engine.registry().histogram("serve.request_seconds");
     let depth = w.depth();
     let mut entries_pruned = 0;
-    let start = Instant::now();
-    let results = w
-        .schedule
-        .iter()
-        .map(|&q| {
-            let t0 = Instant::now();
+    let (results, elapsed) = run_in_order(
+        engine.registry(),
+        w.schedule.len(),
+        |_| {},
+        |r| {
             let out = engine
-                .top_k_closed(&w.queries[q], depth, w.k)
+                .top_k_closed(&w.queries[w.schedule[r]], depth, w.k)
                 .expect("serve request evaluates");
-            latency.record_duration(t0.elapsed());
-            requests.inc();
             entries_pruned += engine.stats().entries_pruned;
+            out
+        },
+    );
+    ScheduleRun {
+        results,
+        elapsed,
+        entries_pruned,
+    }
+}
+
+/// The sequential loop behind every reference runner: per request in
+/// schedule order, an untimed `before(r)` hook, then `serve(r)` timed into
+/// `serve.request_seconds` and counted in `serve.requests`.
+pub(crate) fn run_in_order<T>(
+    registry: &Registry,
+    requests: usize,
+    mut before: impl FnMut(usize),
+    mut serve: impl FnMut(usize) -> T,
+) -> (Vec<T>, Duration) {
+    let served = registry.counter("serve.requests");
+    let latency = registry.histogram("serve.request_seconds");
+    let start = Instant::now();
+    let out = (0..requests)
+        .map(|r| {
+            before(r);
+            let t0 = Instant::now();
+            let out = serve(r);
+            latency.record_duration(t0.elapsed());
+            served.inc();
             out
         })
         .collect();
-    ScheduleRun {
-        results,
-        elapsed: start.elapsed(),
-        entries_pruned,
-    }
+    (out, start.elapsed())
 }
 
 /// How a single resilient request resolved.
@@ -251,39 +272,33 @@ pub fn run_schedule_resilient<P: AtomicProvider>(
     w: &ServeWorkload,
     engine: &Engine<P>,
     limits: RequestLimits,
-    mut before_request: impl FnMut(usize),
+    before_request: impl FnMut(usize),
 ) -> ResilientRun {
-    let requests = engine.registry().counter("serve.requests");
-    let latency = engine.registry().histogram("serve.request_seconds");
-    let ok = engine.registry().counter("serve.outcome.ok");
-    let degraded = engine.registry().counter("serve.outcome.degraded");
-    let failed = engine.registry().counter("serve.outcome.failed");
-    let shed = engine.registry().counter("serve.outcome.shed");
+    let outcomes = Outcomes::new(engine.registry());
     let depth = w.depth();
-    let start = Instant::now();
-    let reports = w
-        .schedule
-        .iter()
-        .enumerate()
-        .map(|(r, &q)| {
-            before_request(r);
-            let budget = limits.budget();
-            let t0 = Instant::now();
-            let report = resolve_request(w, engine, q, depth, w.k, &budget);
-            latency.record_duration(t0.elapsed());
-            requests.inc();
-            match report.outcome {
-                RequestOutcome::Ok => ok.inc(),
-                RequestOutcome::Degraded => degraded.inc(),
-                RequestOutcome::Failed => failed.inc(),
-                RequestOutcome::Shed => shed.inc(),
-            }
+    let (reports, elapsed) =
+        run_in_order(engine.registry(), w.schedule.len(), before_request, |r| {
+            let report = resolve_request(w, engine, w.schedule[r], depth, w.k, &limits.budget());
+            outcomes.count(report.outcome);
             report
-        })
-        .collect();
-    ResilientRun {
-        reports,
-        elapsed: start.elapsed(),
+        });
+    ResilientRun { reports, elapsed }
+}
+
+/// The `serve.outcome.*` counters, indexed by [`RequestOutcome`]. Each
+/// request counts exactly once, by whoever resolved it.
+struct Outcomes([Arc<simvid_obs::Counter>; 4]);
+
+impl Outcomes {
+    fn new(registry: &Registry) -> Outcomes {
+        Outcomes(
+            ["ok", "degraded", "failed", "shed"]
+                .map(|o| registry.counter(&format!("serve.outcome.{o}"))),
+        )
+    }
+
+    fn count(&self, outcome: RequestOutcome) {
+        self.0[outcome as usize].inc();
     }
 }
 
@@ -398,7 +413,7 @@ pub enum Priority {
     Normal,
 }
 
-/// What [`BoundedQueue::try_push`] did with the offered item.
+/// What [`BoundedQueue::push`] did with the offered item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TryPush {
     /// Enqueued.
@@ -412,9 +427,9 @@ pub(crate) enum TryPush {
 
 /// The bounded MPMC request queue between the schedule producer and the
 /// worker pool: two FIFO lanes ([`Priority::High`] drains first), a shared
-/// capacity across both. Backpressure by blocking — `push` waits while the
-/// queue is full, `pop` waits while it is empty and not yet closed — or by
-/// shedding through the non-blocking [`BoundedQueue::try_push`].
+/// capacity across both. Backpressure by blocking — a blocking `push`
+/// waits while the queue is full, `pop` waits while it is empty and not
+/// yet closed — or by shedding through a non-blocking `push`.
 ///
 /// The `serve.queue_depth` gauge mirrors the live length, and every
 /// producer blocked on a full queue first counts one
@@ -464,37 +479,18 @@ impl BoundedQueue {
         }
     }
 
-    /// Admits `item` at normal priority, blocking while the queue is full.
-    /// Returns `false` without admitting when the queue closed early (a
-    /// worker panicked).
-    pub(crate) fn push(&self, item: usize) -> bool {
-        self.push_with(item, Priority::Normal)
-    }
-
-    /// Admits `item` into its priority lane, blocking while the queue is
-    /// full (counted in `serve.queue.full_waits`). Returns `false` without
-    /// admitting when the queue closed early.
-    pub(crate) fn push_with(&self, item: usize, priority: Priority) -> bool {
+    /// Offers `item` to its priority lane. A full queue blocks the caller
+    /// when `block` is set (counted in `serve.queue.full_waits`) and is
+    /// [`TryPush::Full`] otherwise — the load-shed path of
+    /// [`run_schedule_admission`].
+    pub(crate) fn push(&self, item: usize, priority: Priority, block: bool) -> TryPush {
         let mut st = self.state.lock().expect("serve queue lock");
-        if st.len() >= self.capacity && !st.closed {
+        if block && st.len() >= self.capacity && !st.closed {
             self.full_waits.inc();
             while st.len() >= self.capacity && !st.closed {
                 st = self.not_full.wait(st).expect("serve queue lock");
             }
         }
-        if st.closed {
-            return false;
-        }
-        st.lane(priority).push_back(item);
-        self.depth.add(1);
-        self.not_empty.notify_one();
-        true
-    }
-
-    /// Offers `item` without blocking: [`TryPush::Full`] when the queue is
-    /// saturated — the load-shed path of [`run_schedule_admission`].
-    pub(crate) fn try_push(&self, item: usize, priority: Priority) -> TryPush {
-        let mut st = self.state.lock().expect("serve queue lock");
         if st.closed {
             return TryPush::Closed;
         }
@@ -545,7 +541,7 @@ impl BoundedQueue {
 /// Closes the queue when a worker unwinds, so the producer and sibling
 /// workers drain and exit instead of blocking forever; the panic itself
 /// resurfaces at the thread-scope join.
-pub(crate) struct CloseOnPanic<'a>(pub(crate) &'a BoundedQueue);
+struct CloseOnPanic<'a>(&'a BoundedQueue);
 
 impl Drop for CloseOnPanic<'_> {
     fn drop(&mut self) {
@@ -555,11 +551,123 @@ impl Drop for CloseOnPanic<'_> {
     }
 }
 
-/// Drives the request schedule through a fixed-size pool of
-/// `exec.workers` threads (a [`std::thread::scope`] — no runtime
-/// dependency) fed by a bounded queue, and returns results **in original
-/// schedule order** regardless of completion order: each worker writes
-/// into the slot of the request it served.
+/// One result slot per request: whoever resolves request `r` fills slot
+/// `r`, so results come back in schedule order.
+struct Slots<T>(Vec<Mutex<Option<T>>>);
+
+impl<T> Slots<T> {
+    fn fill(&self, r: usize, value: T) {
+        *self.0[r].lock().expect("result slot lock") = Some(value);
+    }
+}
+
+/// The one worker pool behind every concurrent executor: `exec.workers`
+/// scoped threads drain the tasks `produce` admits into a bounded queue,
+/// running `serve` against per-worker state built by `worker(wid)` on the
+/// worker's own thread. A panicking task closes the queue so the pool
+/// drains instead of deadlocking, and the panic resurfaces here.
+fn run_pool<T: Send, S>(
+    exec: &ExecutorConfig,
+    registry: &Registry,
+    slots: usize,
+    worker: impl Fn(usize) -> S + Sync,
+    serve: impl Fn(&S, usize, &BoundedQueue, &Slots<T>) + Sync,
+    produce: impl FnOnce(&BoundedQueue, &Slots<T>),
+) -> Vec<T> {
+    let queue = BoundedQueue::new(exec.queue_depth.max(1), registry);
+    let out = Slots((0..slots).map(|_| Mutex::new(None)).collect());
+    std::thread::scope(|scope| {
+        for wid in 0..exec.workers.max(1) {
+            let (queue, out, worker, serve) = (&queue, &out, &worker, &serve);
+            scope.spawn(move || {
+                let _guard = CloseOnPanic(queue);
+                let state = worker(wid);
+                while let Some(task) = queue.pop() {
+                    serve(&state, task, queue, out);
+                }
+            });
+        }
+        produce(&queue, &out);
+        queue.close();
+    });
+    out.0
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot lock")
+                .expect("every admitted request resolves")
+        })
+        .collect()
+}
+
+/// Admits tasks `0..tasks` in order, blocking on a full queue.
+fn push_all(queue: &BoundedQueue, tasks: usize) {
+    for task in 0..tasks {
+        if queue.push(task, Priority::Normal, true) == TryPush::Closed {
+            break; // a worker panicked; the scope join re-panics
+        }
+    }
+}
+
+/// Fans requests out over [`run_pool`] as one task per *(request,
+/// shard)* pair: `eval(r, s)` evaluates shard `s` of request `r`, and the
+/// worker finishing a request's last shard runs `gather` on the results
+/// in shard order — so answers are bit-identical to a sequential scatter.
+/// Records `serve.requests`, `serve.request_seconds` (first shard start
+/// to gather end) and `serve.worker.{i}.shard_seconds`.
+pub(crate) fn run_fan_out<E: Send, A: Send>(
+    exec: &ExecutorConfig,
+    registry: &Registry,
+    requests: usize,
+    shards: usize,
+    eval: impl Fn(usize, usize) -> E + Sync,
+    gather: impl Fn(Vec<E>) -> A + Sync,
+) -> Vec<A> {
+    let served = registry.counter("serve.requests");
+    let latency = registry.histogram("serve.request_seconds");
+    // Per-request scatter state: one result slot per shard, a countdown of
+    // shards still in flight, and the request's first-task start time.
+    let parts: Vec<Vec<Mutex<Option<E>>>> = (0..requests)
+        .map(|_| (0..shards).map(|_| Mutex::new(None)).collect())
+        .collect();
+    let remaining: Vec<AtomicUsize> = (0..requests).map(|_| AtomicUsize::new(shards)).collect();
+    let started: Vec<OnceLock<Instant>> = (0..requests).map(|_| OnceLock::new()).collect();
+    run_pool(
+        exec,
+        registry,
+        requests,
+        |wid| registry.histogram(&format!("serve.worker.{wid}.shard_seconds")),
+        |worker_shards, task, _, answers| {
+            let (r, s) = (task / shards, task % shards);
+            let t_request = *started[r].get_or_init(Instant::now);
+            let t0 = Instant::now();
+            let part = eval(r, s);
+            worker_shards.record_duration(t0.elapsed());
+            *parts[r][s].lock().expect("shard slot lock") = Some(part);
+            if remaining[r].fetch_sub(1, Ordering::AcqRel) == 1 {
+                // Last shard of request `r`: gather on this worker.
+                let per_shard = parts[r]
+                    .iter()
+                    .map(|slot| {
+                        slot.lock()
+                            .expect("shard slot lock")
+                            .take()
+                            .expect("every shard slot resolves before gather")
+                    })
+                    .collect();
+                let answer = gather(per_shard);
+                latency.record_duration(t_request.elapsed());
+                served.inc();
+                answers.fill(r, answer);
+            }
+        },
+        |queue, _| push_all(queue, requests * shards),
+    )
+}
+
+/// Drives the request schedule through the shared worker pool:
+/// `exec.workers` threads fed by a bounded queue, results returned **in
+/// original schedule order** regardless of completion order.
 ///
 /// Every worker builds its own [`Engine`] over the shared `provider` and
 /// `registry`, so per-evaluation memo state stays request-private — the
@@ -589,59 +697,23 @@ pub fn run_schedule_concurrent<P: AtomicProvider>(
     registry: &Arc<Registry>,
     exec: &ExecutorConfig,
 ) -> ScheduleRun {
-    let workers = exec.workers.max(1);
-    let requests = registry.counter("serve.requests");
-    let latency = registry.histogram("serve.request_seconds");
-    let coalesced_total = registry.counter("cache.coalesced");
     let pruned_total = registry.counter("engine.prune.entries_pruned");
-    let inflight_coalesced = registry.counter("serve.inflight_coalesced");
-    let queue = BoundedQueue::new(exec.queue_depth.max(1), registry);
-    let depth = w.depth();
-    let slots: Vec<Mutex<Option<Vec<RankedSegment>>>> =
-        w.schedule.iter().map(|_| Mutex::new(None)).collect();
-    let coalesced_before = coalesced_total.get();
     let pruned_before = pruned_total.get();
+    let depth = w.depth();
     let start = Instant::now();
-    std::thread::scope(|scope| {
-        for wid in 0..workers {
-            let queue = &queue;
-            let slots = &slots;
-            let requests = &requests;
-            let latency = &latency;
-            let worker_latency = registry.histogram(&format!("serve.worker.{wid}.request_seconds"));
-            let registry = Arc::clone(registry);
-            scope.spawn(move || {
-                let _guard = CloseOnPanic(queue);
-                let engine = Engine::with_registry(provider, &w.tree, engine_config, registry);
-                while let Some(r) = queue.pop() {
-                    let t0 = Instant::now();
-                    let out = engine
-                        .top_k_closed(&w.queries[w.schedule[r]], depth, w.k)
-                        .expect("serve request evaluates");
-                    let elapsed = t0.elapsed();
-                    latency.record_duration(elapsed);
-                    worker_latency.record_duration(elapsed);
-                    requests.inc();
-                    *slots[r].lock().expect("result slot lock") = Some(out);
-                }
-            });
-        }
-        for r in 0..w.schedule.len() {
-            if !queue.push(r) {
-                break; // a worker panicked; the scope join re-panics below
-            }
-        }
-        queue.close();
-    });
-    inflight_coalesced.add(coalesced_total.get() - coalesced_before);
-    let results = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot lock")
-                .expect("every admitted request resolves")
-        })
-        .collect();
+    let results = run_requests(
+        w,
+        provider,
+        engine_config,
+        registry,
+        exec,
+        |engine, r, _| {
+            engine
+                .top_k_closed(&w.queries[w.schedule[r]], depth, w.k)
+                .expect("serve request evaluates")
+        },
+        |queue, _| push_all(queue, w.schedule.len()),
+    );
     ScheduleRun {
         results,
         elapsed: start.elapsed(),
@@ -652,13 +724,57 @@ pub fn run_schedule_concurrent<P: AtomicProvider>(
     }
 }
 
-/// Concurrent twin of [`run_schedule_resilient`]: the same fixed-size
-/// worker pool and bounded queue as [`run_schedule_concurrent`], with
-/// every request resolved to a classified [`RequestReport`]. Reports come
-/// back **in schedule order** whatever order requests complete in, and
-/// each request increments exactly one `serve.outcome.*` counter — on the
-/// worker that resolved it, so the counters are exact under concurrent
-/// completion.
+/// Runs one request per task on [`run_pool`], each worker resolving
+/// requests with `serve` on its own [`Engine`]. Records `serve.requests`,
+/// `serve.request_seconds`, `serve.worker.{i}.request_seconds` and the
+/// run's `cache.coalesced` delta as `serve.inflight_coalesced`.
+fn run_requests<P: AtomicProvider, T: Send>(
+    w: &ServeWorkload,
+    provider: &P,
+    engine_config: EngineConfig,
+    registry: &Arc<Registry>,
+    exec: &ExecutorConfig,
+    serve: impl Fn(&Engine<P>, usize, &BoundedQueue) -> T + Sync,
+    produce: impl FnOnce(&BoundedQueue, &Slots<T>),
+) -> Vec<T> {
+    let requests = registry.counter("serve.requests");
+    let latency = registry.histogram("serve.request_seconds");
+    let coalesced_total = registry.counter("cache.coalesced");
+    let inflight_coalesced = registry.counter("serve.inflight_coalesced");
+    let coalesced_before = coalesced_total.get();
+    let out = run_pool(
+        exec,
+        registry,
+        w.schedule.len(),
+        |wid| {
+            let engine =
+                Engine::with_registry(provider, &w.tree, engine_config, Arc::clone(registry));
+            (
+                engine,
+                registry.histogram(&format!("serve.worker.{wid}.request_seconds")),
+            )
+        },
+        |(engine, worker_latency), r, queue, slots| {
+            let t0 = Instant::now();
+            let out = serve(engine, r, queue);
+            let elapsed = t0.elapsed();
+            latency.record_duration(elapsed);
+            worker_latency.record_duration(elapsed);
+            requests.inc();
+            slots.fill(r, out);
+        },
+        produce,
+    );
+    inflight_coalesced.add(coalesced_total.get() - coalesced_before);
+    out
+}
+
+/// Concurrent twin of [`run_schedule_resilient`]: the same pool as
+/// [`run_schedule_concurrent`], with every request resolved to a
+/// classified [`RequestReport`]. Reports come back **in schedule order**
+/// whatever order requests complete in, and each request increments
+/// exactly one `serve.outcome.*` counter — on the worker that resolved
+/// it, so the counters are exact under concurrent completion.
 ///
 /// Per-request [`Budget`]s are inherited from `limits` as in the
 /// sequential path. `cancel` is an optional schedule-level budget for
@@ -684,76 +800,18 @@ pub fn run_schedule_resilient_concurrent<P: AtomicProvider>(
     cancel: Option<&Budget>,
     before_request: impl Fn(usize) + Sync,
 ) -> ResilientRun {
-    let workers = exec.workers.max(1);
-    let requests = registry.counter("serve.requests");
-    let latency = registry.histogram("serve.request_seconds");
-    let ok = registry.counter("serve.outcome.ok");
-    let degraded = registry.counter("serve.outcome.degraded");
-    let failed = registry.counter("serve.outcome.failed");
-    let shed = registry.counter("serve.outcome.shed");
-    let coalesced_total = registry.counter("cache.coalesced");
-    let inflight_coalesced = registry.counter("serve.inflight_coalesced");
-    let queue = BoundedQueue::new(exec.queue_depth.max(1), registry);
-    let depth = w.depth();
-    let slots: Vec<Mutex<Option<RequestReport>>> =
-        w.schedule.iter().map(|_| Mutex::new(None)).collect();
-    let coalesced_before = coalesced_total.get();
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for wid in 0..workers {
-            let queue = &queue;
-            let slots = &slots;
-            let requests = &requests;
-            let latency = &latency;
-            let (ok, degraded, failed, shed) = (&ok, &degraded, &failed, &shed);
-            let before_request = &before_request;
-            let worker_latency = registry.histogram(&format!("serve.worker.{wid}.request_seconds"));
-            let registry = Arc::clone(registry);
-            scope.spawn(move || {
-                let _guard = CloseOnPanic(queue);
-                let engine = Engine::with_registry(provider, &w.tree, engine_config, registry);
-                while let Some(r) = queue.pop() {
-                    before_request(r);
-                    let budget = limits.budget();
-                    if cancel.is_some_and(|c| c.check().is_err()) {
-                        budget.cancel();
-                    }
-                    let t0 = Instant::now();
-                    let report = resolve_request(w, &engine, w.schedule[r], depth, w.k, &budget);
-                    let elapsed = t0.elapsed();
-                    latency.record_duration(elapsed);
-                    worker_latency.record_duration(elapsed);
-                    requests.inc();
-                    match report.outcome {
-                        RequestOutcome::Ok => ok.inc(),
-                        RequestOutcome::Degraded => degraded.inc(),
-                        RequestOutcome::Failed => failed.inc(),
-                        RequestOutcome::Shed => shed.inc(),
-                    }
-                    *slots[r].lock().expect("report slot lock") = Some(report);
-                }
-            });
-        }
-        for r in 0..w.schedule.len() {
-            if !queue.push(r) {
-                break;
-            }
-        }
-        queue.close();
-    });
-    inflight_coalesced.add(coalesced_total.get() - coalesced_before);
-    let reports = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("report slot lock")
-                .expect("every admitted request resolves")
-        })
-        .collect();
-    ResilientRun {
-        reports,
-        elapsed: start.elapsed(),
-    }
+    run_resilient(
+        w,
+        provider,
+        engine_config,
+        registry,
+        limits,
+        exec,
+        &AdmissionConfig::default(),
+        |_| Priority::Normal,
+        cancel,
+        before_request,
+    )
 }
 
 /// Degraded-service tuning applied while the executor queue sits at or
@@ -812,101 +870,90 @@ pub fn run_schedule_admission<P: AtomicProvider>(
     admission: &AdmissionConfig,
     priority: impl Fn(usize) -> Priority + Sync,
 ) -> ResilientRun {
-    let workers = exec.workers.max(1);
-    let requests = registry.counter("serve.requests");
-    let latency = registry.histogram("serve.request_seconds");
-    let ok = registry.counter("serve.outcome.ok");
-    let degraded = registry.counter("serve.outcome.degraded");
-    let failed = registry.counter("serve.outcome.failed");
-    let shed = registry.counter("serve.outcome.shed");
-    let browned = registry.counter("serve.brownout.requests");
-    let coalesced_total = registry.counter("cache.coalesced");
-    let inflight_coalesced = registry.counter("serve.inflight_coalesced");
-    let queue = BoundedQueue::new(exec.queue_depth.max(1), registry);
+    run_resilient(
+        w,
+        provider,
+        engine_config,
+        registry,
+        limits,
+        exec,
+        admission,
+        priority,
+        None,
+        |_| {},
+    )
+}
+
+/// The resilient request executor behind both public entry points.
+#[allow(clippy::too_many_arguments)]
+fn run_resilient<P: AtomicProvider>(
+    w: &ServeWorkload,
+    provider: &P,
+    engine_config: EngineConfig,
+    registry: &Arc<Registry>,
+    limits: RequestLimits,
+    exec: &ExecutorConfig,
+    admission: &AdmissionConfig,
+    priority: impl Fn(usize) -> Priority + Sync,
+    cancel: Option<&Budget>,
+    before_request: impl Fn(usize) + Sync,
+) -> ResilientRun {
+    let outcomes = Outcomes::new(registry);
+    let browned = admission
+        .brownout
+        .map(|_| registry.counter("serve.brownout.requests"));
     let depth = w.depth();
-    let slots: Vec<Mutex<Option<RequestReport>>> =
-        w.schedule.iter().map(|_| Mutex::new(None)).collect();
-    let coalesced_before = coalesced_total.get();
     let start = Instant::now();
-    std::thread::scope(|scope| {
-        for wid in 0..workers {
-            let queue = &queue;
-            let slots = &slots;
-            let requests = &requests;
-            let latency = &latency;
-            let (ok, degraded, failed, shed) = (&ok, &degraded, &failed, &shed);
-            let browned = &browned;
-            let worker_latency = registry.histogram(&format!("serve.worker.{wid}.request_seconds"));
-            let registry = Arc::clone(registry);
-            scope.spawn(move || {
-                let _guard = CloseOnPanic(queue);
-                let engine = Engine::with_registry(provider, &w.tree, engine_config, registry);
-                while let Some(r) = queue.pop() {
-                    // Brownout is decided at serve time from live queue
-                    // pressure: the backlog behind this request, not the
-                    // backlog when it was admitted.
-                    let brownout = admission.brownout.filter(|b| queue.len() >= b.watermark);
-                    let mut k = w.k;
-                    let mut budget = limits.budget();
-                    if let Some(b) = brownout {
-                        browned.inc();
-                        k = k.min(b.k);
-                        if let Some(fuel) = b.fuel {
-                            budget = budget.with_fuel(fuel);
-                        }
-                    }
-                    let t0 = Instant::now();
-                    let report = resolve_request(w, &engine, w.schedule[r], depth, k, &budget);
-                    let elapsed = t0.elapsed();
-                    latency.record_duration(elapsed);
-                    worker_latency.record_duration(elapsed);
-                    requests.inc();
-                    match report.outcome {
-                        RequestOutcome::Ok => ok.inc(),
-                        RequestOutcome::Degraded => degraded.inc(),
-                        RequestOutcome::Failed => failed.inc(),
-                        RequestOutcome::Shed => shed.inc(),
-                    }
-                    *slots[r].lock().expect("report slot lock") = Some(report);
+    let reports = run_requests(
+        w,
+        provider,
+        engine_config,
+        registry,
+        exec,
+        |engine, r, queue| {
+            before_request(r);
+            // Brownout is decided at serve time from live queue pressure:
+            // the backlog behind this request, not the backlog when it was
+            // admitted.
+            let brownout = admission.brownout.filter(|b| queue.len() >= b.watermark);
+            let mut k = w.k;
+            let mut budget = limits.budget();
+            if let (Some(b), Some(browned)) = (brownout, &browned) {
+                browned.inc();
+                k = k.min(b.k);
+                if let Some(fuel) = b.fuel {
+                    budget = budget.with_fuel(fuel);
                 }
-            });
-        }
-        'produce: for (r, slot) in slots.iter().enumerate().take(w.schedule.len()) {
-            let lane = priority(r);
-            if admission.shed_when_full {
-                match queue.try_push(r, lane) {
+            }
+            if cancel.is_some_and(|c| c.check().is_err()) {
+                budget.cancel();
+            }
+            let report = resolve_request(w, engine, w.schedule[r], depth, k, &budget);
+            outcomes.count(report.outcome);
+            report
+        },
+        |queue, slots| {
+            for r in 0..w.schedule.len() {
+                match queue.push(r, priority(r), !admission.shed_when_full) {
                     TryPush::Admitted => {}
-                    TryPush::Closed => break 'produce,
+                    TryPush::Closed => break,
                     TryPush::Full => {
+                        registry.counter("serve.requests").inc();
+                        outcomes.count(RequestOutcome::Shed);
+                        let reason = EngineError::Overloaded("executor queue full".into());
                         let report = RequestReport {
                             query: w.schedule[r],
                             outcome: RequestOutcome::Shed,
                             ranked: Vec::new(),
                             upper_bounds: Vec::new(),
-                            reason: Some(
-                                EngineError::Overloaded("executor queue full".into()).to_string(),
-                            ),
+                            reason: Some(reason.to_string()),
                         };
-                        requests.inc();
-                        shed.inc();
-                        *slot.lock().expect("report slot lock") = Some(report);
+                        slots.fill(r, report);
                     }
                 }
-            } else if !queue.push_with(r, lane) {
-                break 'produce;
             }
-        }
-        queue.close();
-    });
-    inflight_coalesced.add(coalesced_total.get() - coalesced_before);
-    let reports = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("report slot lock")
-                .expect("every admitted request resolves")
-        })
-        .collect();
+        },
+    );
     ResilientRun {
         reports,
         elapsed: start.elapsed(),
@@ -1183,20 +1230,20 @@ mod tests {
     fn queue_priority_lanes_and_try_push() {
         let registry = Registry::new();
         let q = BoundedQueue::new(2, &registry);
-        assert_eq!(q.try_push(0, Priority::Normal), TryPush::Admitted);
-        assert_eq!(q.try_push(1, Priority::High), TryPush::Admitted);
-        assert_eq!(q.try_push(2, Priority::Normal), TryPush::Full);
+        assert_eq!(q.push(0, Priority::Normal, false), TryPush::Admitted);
+        assert_eq!(q.push(1, Priority::High, false), TryPush::Admitted);
+        assert_eq!(q.push(2, Priority::Normal, false), TryPush::Full);
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), Some(1), "high lane drains first");
         assert_eq!(q.pop(), Some(0));
         q.close();
         assert_eq!(q.pop(), None);
-        assert_eq!(q.try_push(3, Priority::Normal), TryPush::Closed);
+        assert_eq!(q.push(3, Priority::Normal, false), TryPush::Closed);
         let snap = registry.snapshot();
         assert_eq!(
             snap.counter("serve.queue.full_waits"),
             Some(0),
-            "try_push never blocks, so it never counts a full wait"
+            "a non-blocking push never counts a full wait"
         );
     }
 
@@ -1205,12 +1252,14 @@ mod tests {
         let registry = Registry::new();
         let q = BoundedQueue::new(1, &registry);
         let waits = registry.counter("serve.queue.full_waits");
-        assert!(q.push(0), "first push fits without waiting");
+        let first = q.push(0, Priority::Normal, true);
+        assert_eq!(first, TryPush::Admitted, "first push fits without waiting");
         assert_eq!(waits.get(), 0);
         std::thread::scope(|scope| {
             let q = &q;
             scope.spawn(move || {
-                assert!(q.push(1), "blocked push completes once a slot frees");
+                let blocked = q.push(1, Priority::Normal, true);
+                assert_eq!(blocked, TryPush::Admitted, "blocked push completes");
             });
             // Deterministic rendezvous: the counter ticks *before* the
             // producer parks, so spinning on it cannot miss the wait.
@@ -1415,6 +1464,79 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counter("serve.outcome.shed"), Some(0));
         assert_eq!(snap.counter("serve.brownout.requests"), Some(0));
+    }
+
+    #[test]
+    fn a_panicking_task_resurfaces_instead_of_deadlocking() {
+        let registry = Registry::new();
+        // More tasks than the one-slot queue holds, so the producer is
+        // blocked in `push` when the panic closes the queue.
+        let exec = ExecutorConfig {
+            workers: 2,
+            queue_depth: 1,
+        };
+        let tasks = 32;
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_pool(
+                &exec,
+                &registry,
+                tasks,
+                |_| (),
+                |(), task, _, slots| {
+                    assert_ne!(task, 3, "injected task panic");
+                    slots.fill(task, task);
+                },
+                |queue, _| push_all(queue, tasks),
+            )
+        }));
+        assert!(run.is_err(), "the worker panic must resurface");
+        let fan_out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_fan_out(
+                &exec,
+                &registry,
+                tasks,
+                2,
+                |r, s| assert!((r, s) != (5, 1), "injected shard panic"),
+                |_| (),
+            )
+        }));
+        assert!(fan_out.is_err(), "a shard panic must resurface");
+    }
+
+    #[test]
+    fn zero_request_schedules_return_empty_runs() {
+        let w = build(&ServeConfig {
+            shots: 4,
+            requests: 0,
+            ..ServeConfig::default()
+        });
+        let registry = Arc::new(simvid_obs::Registry::new());
+        let sys = simvid_picture::PictureSystem::with_registry(
+            &w.tree,
+            simvid_picture::ScoringConfig::default(),
+            simvid_picture::CacheConfig::default(),
+            registry.clone(),
+        );
+        let exec = ExecutorConfig::with_workers(2);
+        let plain = run_schedule_concurrent(&w, &sys, EngineConfig::default(), &registry, &exec);
+        assert!(plain.results.is_empty());
+        assert_eq!(plain.entries_pruned, 0);
+        let resilient = run_schedule_resilient_concurrent(
+            &w,
+            &sys,
+            EngineConfig::default(),
+            &registry,
+            RequestLimits::default(),
+            &exec,
+            None,
+            |_| {},
+        );
+        assert!(resilient.reports.is_empty());
+        let fanned: Vec<()> = run_fan_out(&exec, &registry, 0, 3, |_, _| (), |_| ());
+        assert!(fanned.is_empty());
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("serve.requests"), Some(0));
+        assert_eq!(snap.gauge("serve.queue_depth"), Some(0));
     }
 
     #[test]

@@ -9,23 +9,20 @@
 //!
 //! * [`run_schedule_sharded`] — the sequential reference: scatter each
 //!   request across the shards in shard order, gather, next request.
-//! * [`run_schedule_sharded_concurrent`] — the PR 7 executor fanned out
-//!   over `(request, shard)` tasks: a fixed worker pool drains a bounded
-//!   queue of shard evaluations, and whichever worker finishes the last
-//!   shard of a request runs the merge coordinator for it. Results come
-//!   back slot-ordered and bit-identical to the sequential runner for
-//!   every worker count and every shard count.
+//! * [`run_schedule_sharded_concurrent`] — the shared worker pool fanned
+//!   out over `(request, shard)` tasks: whichever worker finishes the
+//!   last shard of a request runs the merge coordinator for it. Results
+//!   come back slot-ordered and bit-identical to the sequential runner
+//!   for every worker count and every shard count.
 
-use simvid_core::{AtomicProvider, EngineError, ShardStream};
+use simvid_core::AtomicProvider;
 use simvid_htl::Formula;
 use simvid_model::VideoStore;
 use simvid_picture::{ShardId, ShardedAnswer, ShardedVideoDb};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::randomvideo::{generate, VideoGenConfig};
-use crate::serve::{BoundedQueue, CloseOnPanic, ExecutorConfig};
+use crate::serve::{run_fan_out, run_in_order, ExecutorConfig};
 
 /// Parameters of the sharded serving workload.
 #[derive(Debug, Clone)]
@@ -169,37 +166,27 @@ pub fn run_schedule_sharded<P: AtomicProvider>(
     w: &ShardedServeWorkload,
     db: &ShardedVideoDb<P>,
 ) -> ShardedScheduleRun {
-    let requests = db.registry().counter("serve.requests");
-    let latency = db.registry().histogram("serve.request_seconds");
     let depth = w.depth();
-    let start = Instant::now();
-    let answers = w
-        .schedule
-        .iter()
-        .map(|&q| {
-            let t0 = Instant::now();
-            let answer = db
-                .top_k(&w.queries[q], depth, w.k)
-                .expect("sharded request evaluates");
-            latency.record_duration(t0.elapsed());
-            requests.inc();
-            answer
-        })
-        .collect();
-    ShardedScheduleRun {
-        answers,
-        elapsed: start.elapsed(),
-    }
+    let (answers, elapsed) = run_in_order(
+        db.registry(),
+        w.schedule.len(),
+        |_| {},
+        |r| {
+            db.top_k(&w.queries[w.schedule[r]], depth, w.k)
+                .expect("sharded request evaluates")
+        },
+    );
+    ShardedScheduleRun { answers, elapsed }
 }
 
-/// Concurrent twin of [`run_schedule_sharded`]: the PR 7 fixed-size worker
-/// pool and bounded queue, with the unit of work one *(request, shard)*
-/// pair instead of one request — the executor fans each request out across
-/// the shards, and the worker that completes a request's last shard runs
-/// the merge coordinator and writes the answer into the request's slot.
-/// Answers come back in schedule order and bit-identical to the
-/// sequential runner for every worker count: per-shard streams are merged
-/// by the same deterministic coordinator whatever order they finish in.
+/// Concurrent twin of [`run_schedule_sharded`]: the shared worker pool
+/// with the unit of work one *(request, shard)* pair instead of one
+/// request — the executor fans each request out across the shards, and
+/// the worker that completes a request's last shard runs the merge
+/// coordinator. Answers come back in schedule order and bit-identical to
+/// the sequential runner for every worker count: per-shard streams are
+/// merged by the same deterministic coordinator whatever order they
+/// finish in.
 ///
 /// # Panics
 ///
@@ -211,91 +198,28 @@ pub fn run_schedule_sharded_concurrent<P: AtomicProvider>(
     db: &ShardedVideoDb<P>,
     exec: &ExecutorConfig,
 ) -> ShardedScheduleRun {
-    let registry = db.registry();
-    let workers = exec.workers.max(1);
-    let shards = db.shard_count().max(1) as usize;
-    let requests = registry.counter("serve.requests");
-    let latency = registry.histogram("serve.request_seconds");
-    let queue = BoundedQueue::new(exec.queue_depth.max(1), registry);
     let depth = w.depth();
-    let n = w.schedule.len();
-    // Per-request scatter state: one stream slot per shard, a countdown of
-    // shards still in flight, the request's first-task start time, and the
-    // gathered answer.
-    type StreamSlot = Mutex<Option<Result<ShardStream, EngineError>>>;
-    let streams: Vec<Vec<StreamSlot>> = (0..n)
-        .map(|_| (0..shards).map(|_| Mutex::new(None)).collect())
-        .collect();
-    let remaining: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(shards)).collect();
-    let started: Vec<Mutex<Option<Instant>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let answers: Vec<Mutex<Option<ShardedAnswer>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let start = Instant::now();
-    std::thread::scope(|scope| {
-        for wid in 0..workers {
-            let queue = &queue;
-            let (streams, remaining, started, answers) = (&streams, &remaining, &started, &answers);
-            let (requests, latency) = (&requests, &latency);
-            let worker_shards = registry.histogram(&format!("serve.worker.{wid}.shard_seconds"));
-            scope.spawn(move || {
-                let _guard = CloseOnPanic(queue);
-                while let Some(task) = queue.pop() {
-                    let (r, s) = (task / shards, task % shards);
-                    started[r]
-                        .lock()
-                        .expect("request start lock")
-                        .get_or_insert_with(Instant::now);
-                    let t0 = Instant::now();
-                    let stream =
-                        db.eval_shard(ShardId(s as u32), &w.queries[w.schedule[r]], depth, w.k);
-                    worker_shards.record_duration(t0.elapsed());
-                    *streams[r][s].lock().expect("stream slot lock") = Some(stream);
-                    if remaining[r].fetch_sub(1, Ordering::AcqRel) == 1 {
-                        // Last shard of request `r`: gather on this worker.
-                        let per_shard = streams[r]
-                            .iter()
-                            .enumerate()
-                            .map(|(i, slot)| {
-                                let outcome = slot
-                                    .lock()
-                                    .expect("stream slot lock")
-                                    .take()
-                                    .expect("every shard slot resolves before gather");
-                                (ShardId(i as u32), outcome)
-                            })
-                            .collect();
-                        let answer = db
-                            .gather(per_shard, w.k)
-                            .expect("sharded request evaluates");
-                        let t0 = started[r]
-                            .lock()
-                            .expect("request start lock")
-                            .expect("request start recorded before gather");
-                        latency.record_duration(t0.elapsed());
-                        requests.inc();
-                        *answers[r].lock().expect("answer slot lock") = Some(answer);
-                    }
-                }
-            });
-        }
-        for task in 0..n * shards {
-            if !queue.push(task) {
-                break; // a worker panicked; the scope join re-panics below
-            }
-        }
-        queue.close();
-    });
-    let answers = answers
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("answer slot lock")
-                .expect("every admitted request resolves")
-        })
-        .collect();
+    let answers = run_fan_out(
+        exec,
+        db.registry(),
+        w.schedule.len(),
+        db.shard_count() as usize,
+        |r, s| db.eval_shard(ShardId(s as u32), &w.queries[w.schedule[r]], depth, w.k),
+        |streams| {
+            db.gather(by_shard(streams), w.k)
+                .expect("sharded request evaluates")
+        },
+    );
     ShardedScheduleRun {
         answers,
         elapsed: start.elapsed(),
     }
+}
+
+/// Labels per-shard results, given in shard order, with their shard ids.
+pub(crate) fn by_shard<T>(per_shard: Vec<T>) -> Vec<(ShardId, T)> {
+    (0..).map(ShardId).zip(per_shard).collect()
 }
 
 #[cfg(test)]
